@@ -200,6 +200,17 @@ def _cmd_diag(args) -> CommandResult:
 # Parser
 
 
+def _natural(text: str) -> int:
+    """argparse type of a flag that takes a natural number."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid natural number {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a natural number, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="theorybench",
@@ -224,33 +235,33 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("run", _cmd_run, help="run a counter machine")
     p.add_argument("--prog", required=True)
-    p.add_argument("--input", type=int, required=True)
-    p.add_argument("--steps", type=int, required=True)
+    p.add_argument("--input", type=_natural, required=True)
+    p.add_argument("--steps", type=_natural, required=True)
 
     p = add("shoenfield", _cmd_shoenfield, help="emit witness-race sets")
     p.add_argument("--a", required=True)
     p.add_argument("--table", required=True)
-    p.add_argument("--xmax", type=int, required=True)
-    p.add_argument("--bound", type=int, required=True)
+    p.add_argument("--xmax", type=_natural, required=True)
+    p.add_argument("--bound", type=_natural, required=True)
     p.add_argument("--emit", default="b,c")
 
     p = add("reduce", _cmd_reduce, help="Turing reduction through a separator")
-    p.add_argument("--w", type=int, required=True)
+    p.add_argument("--w", type=_natural, required=True)
     p.add_argument("--a", required=True)
-    p.add_argument("--d-index", type=int, required=True)
+    p.add_argument("--d-index", type=_natural, required=True)
     p.add_argument("--table", required=True)
-    p.add_argument("--bound", type=int, required=True)
+    p.add_argument("--bound", type=_natural, required=True)
 
     p = add("sch-decide", _cmd_sch_decide, help="oracle-relative decision")
     p.add_argument("--a", required=True)
     p.add_argument("--table", required=True)
     p.add_argument("--query", required=True)
-    p.add_argument("--budget", type=int, required=True)
+    p.add_argument("--budget", type=_natural, required=True)
 
     p = add("so", _cmd_so, help="dump axioms of a two-machine theory")
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
-    p.add_argument("--emit-axioms", type=int, required=True)
+    p.add_argument("--emit-axioms", type=_natural, required=True)
 
     p = add("ovee", _cmd_ovee, help="decide over the switch-predicate infimum")
     p.add_argument("--left", default="J")

@@ -11,12 +11,25 @@ line numbers implicit from 0::
 
 Input is placed in ``r0``; all other registers start at 0.  The halting
 step count (number of executed instructions, including the HALT) is the
-unique computation witness for a halting pair (machine, input).
+unique computation witness for a halting pair (machine, input).  A program
+that runs off its last line halts there, at the number of instructions it
+executed.
+
+Each program is compiled once into flat int tuples (opcode, register,
+jump target) and carries a halting memo from input value to what is known
+about that run: the halting step, proven divergence (a jump to itself on a
+zero register), or the open state after the furthest bound explored (steps
+done, pc, registers).  ``run`` answers from the memo when it covers the
+bound and otherwise resumes from the stored state, so the bounded queries
+on one (program, input) pair step each instruction of its run once between
+them.  A memo holds at most ``MEMO_CAP`` inputs; past that the oldest
+entry goes, and a later query on it starts again from step 0.
 """
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from math import isqrt
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -48,16 +61,38 @@ class Halt:
 Instruction = Inc | DecJz | Halt
 
 
+# Opcodes of the compiled form; _END sits one past the last line.
+_HALT, _INC, _DECJZ, _END = range(4)
+
+MEMO_CAP = 4096  # inputs remembered per program
+_DIVERGES = -1  # memo value of a run proven never to halt
+
+
 @dataclass(frozen=True)
 class MachineProgram:
     instructions: tuple[Instruction, ...]
+    # (opcodes, registers, targets, register count): derived, not compared
+    code: tuple = field(init=False, compare=False, repr=False)
+    # input -> halting step | _DIVERGES | [steps, pc, registers]
+    memo: dict = field(init=False, compare=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
         if not self.instructions:
             raise MachineError("a program needs at least one instruction")
+        rows = []
         for k, ins in enumerate(self.instructions):
-            if isinstance(ins, DecJz) and not 0 <= ins.target < len(self.instructions):
-                raise MachineError(f"line {k}: jump target {ins.target} out of range")
+            match ins:
+                case Halt():
+                    rows.append((_HALT, 0, 0))
+                case Inc(r):
+                    rows.append((_INC, r, 0))
+                case DecJz(r, t):
+                    if not 0 <= t < len(self.instructions):
+                        raise MachineError(f"line {k}: jump target {t} out of range")
+                    rows.append((_DECJZ, r, t))
+        rows.append((_END, 0, 0))
+        ops, regs, targets = zip(*rows)
+        object.__setattr__(self, "code", (ops, regs, targets, max(regs) + 1))
 
     def __str__(self) -> str:
         out = []
@@ -145,31 +180,53 @@ NO = No()
 
 
 def run(program: MachineProgram, value: int, max_steps: int) -> BoundedAnswer:
-    """Yes(s) iff the program halts on ``value`` at exactly step s <= max_steps."""
+    """Yes(s) iff the program halts on ``value`` at exactly step s <= max_steps.
+
+    Reads and extends the program's halting memo (module docstring)."""
     if max_steps < 1:
         raise MachineError("max_steps must be >= 1")
-    regs: dict[int, int] = {0: value}
-    pc = 0
-    code = program.instructions
-    for step in range(1, max_steps + 1):
-        if pc >= len(code):
-            return Yes(step - 1) if step > 1 else Yes(0)
-        match code[pc]:
-            case Halt():
-                return Yes(step)
-            case Inc(r):
-                regs[r] = regs.get(r, 0) + 1
+    memo = program.memo
+    state = memo.get(value)
+    if state is None:
+        ops, reg_of, target_of, width = program.code
+        steps, pc, regs = 0, 0, [0] * width
+        regs[0] = value
+        if len(memo) >= MEMO_CAP:
+            del memo[next(iter(memo))]
+    elif isinstance(state, int):
+        return Yes(state) if 0 < state <= max_steps else Unknown(max_steps)
+    else:
+        steps, pc, regs = state
+        if steps >= max_steps:
+            return Unknown(max_steps)
+        ops, reg_of, target_of, _ = program.code
+    while steps < max_steps:
+        op = ops[pc]
+        if op == _INC:
+            regs[reg_of[pc]] += 1
+            pc += 1
+        elif op == _DECJZ:
+            r = reg_of[pc]
+            if regs[r]:
+                regs[r] -= 1
                 pc += 1
-            case DecJz(r, target):
-                if regs.get(r, 0) == 0:
-                    if target == pc:
-                        # self-loop on a zero register: provably divergent,
-                        # no need to burn the remaining budget
-                        return Unknown(max_steps)
-                    pc = target
-                else:
-                    regs[r] -= 1
-                    pc += 1
+            elif target_of[pc] == pc:
+                # self-loop on a zero register: provably divergent, no
+                # need to burn the remaining budget
+                memo[value] = _DIVERGES
+                return Unknown(max_steps)
+            else:
+                pc = target_of[pc]
+        elif op == _HALT:
+            memo[value] = steps + 1
+            return Yes(steps + 1)
+        else:
+            break  # ran off the last line
+        steps += 1
+    if ops[pc] == _END:
+        memo[value] = steps
+        return Yes(steps)
+    memo[value] = [steps, pc, regs]
     return Unknown(max_steps)
 
 
@@ -196,9 +253,9 @@ def pair(x: int, y: int) -> int:
 
 
 def unpair(z: int) -> tuple[int, int]:
-    s = 0
-    while (s + 1) * (s + 2) // 2 <= z:
-        s += 1
+    if z < 0:
+        raise MachineError(f"cannot unpair a negative number {z}")
+    s = (isqrt(8 * z + 1) - 1) // 2
     y = z - s * (s + 1) // 2
     return s - y, y
 
@@ -309,9 +366,9 @@ def turing_reduce(w: int, a: MachineProgram, d_index: int,
     promised halting witness within the bound, that is a contract violation,
     not an unknown.
     """
-    x = pair(w, d_index)
-    if d_index >= len(table):
+    if not 0 <= d_index < len(table):
         raise MachineError(f"machine index {d_index} outside the table")
+    x = pair(w, d_index)
     if not d_oracle(x):
         return "not_in_A"
     z = halting_step(table[d_index], x, bound)

@@ -220,21 +220,23 @@ class JXTheory:
     negative: MembershipProc
     decision: str | None = None
     signature: Signature = J_SIGNATURE
-    _emitted: list[Formula] = field(default_factory=list)
+    # a generator axiom, or the index of a base axiom built when asked for
+    _emitted: list[Formula | int] = field(default_factory=list)
     _seen: set[tuple[str, int]] = field(default_factory=set)
     _stage: int = 0
 
     def axiom(self, index: int) -> Formula:
         while len(self._emitted) <= index:
             self._advance()
-        return self._emitted[index]
+        entry = self._emitted[index]
+        return j_axiom(entry) if isinstance(entry, int) else entry
 
     def _advance(self):
         """One dovetail stage: the next base axiom, then every generator
         index below the stage re-probed at the stage bound."""
         self._stage += 1
         s = self._stage
-        self._emitted.append(j_axiom(s - 1))
+        self._emitted.append(s - 1)
         for n in range(s):
             if ("pos", n) not in self._seen and isinstance(self.positive(n, s), Yes):
                 self._seen.add(("pos", n))

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
+from functools import cache
 
 from .syntax import (And, App, Atom, Bot, Const, Eq, Exists, Forall, Formula,
                      FormulaError, Iff, Implies, Not, Or, Sugar, Term, Top,
@@ -145,10 +146,19 @@ TN_AXIOMS: tuple[tuple[str, str], ...] = (
 )
 
 
+@cache
+def _parsed_tn_axioms() -> tuple[tuple[str, Formula, tuple[str, ...]], ...]:
+    """(name, open body, sorted free variables) of each axiom, parsed once."""
+    out = []
+    for name, text in TN_AXIOMS:
+        body = parse(text, TN_SIG)
+        out.append((name, body, tuple(sorted(free_variables(body)))))
+    return tuple(out)
+
+
 def tn_axiom_formula(index: int) -> Formula:
-    name, text = TN_AXIOMS[index]
-    body = parse(text, TN_SIG)
-    for v in sorted(free_variables(body), reverse=True):
+    _, body, fv = _parsed_tn_axioms()[index]
+    for v in reversed(fv):
         body = Forall(v, body)
     return body
 
@@ -157,9 +167,7 @@ def verify_tn_axioms(model: TNModel) -> list[tuple[str, bool, tuple[int, ...] | 
     """Per-axiom exhaustive check; each entry is (name, passed,
     counterexample assignment over the axiom's variables or None)."""
     report = []
-    for name, text in TN_AXIOMS:
-        body = parse(text, TN_SIG)
-        fv = sorted(free_variables(body))
+    for name, body, fv in _parsed_tn_axioms():
         failure = None
         for values in itertools.product(model.domain, repeat=len(fv)):
             if not model_check(body, model, dict(zip(fv, values))):

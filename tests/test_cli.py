@@ -138,6 +138,17 @@ class TestProtocol:
                               "--input", "0", "--steps", "5")
         assert code == 3
 
+    def test_negative_input_is_exit_3(self, invoke):
+        code, out, err = invoke("run", "--prog", str(FIXTURES / "even.cm"),
+                                "--input", "-3", "--steps", "50")
+        assert code == 3 and out == "" and "natural number" in err
+
+    def test_negative_d_index_is_exit_3(self, invoke):
+        code, out, err = invoke("reduce", "--a", str(FIXTURES / "even.cm"),
+                                "--d-index", "-1", "--table", str(FIXTURES / "table_full"),
+                                "--bound", "10000", "--w", "10")
+        assert code == 3 and out == "" and "natural number" in err
+
     def test_json_format(self, invoke):
         code, out, _ = invoke("qe", "A[0] | A[1]", "--format", "json")
         payload = json.loads(out)

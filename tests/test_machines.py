@@ -5,12 +5,12 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from theorybench.machines import (DIVERGER, DecJz, Halt, Inc, MachineError,
-                                  MachineProgram, No, OracleContractError,
-                                  PaddedTable, Unknown, Yes, halting_step,
-                                  load_program, load_table, member_B,
-                                  member_Bbot, member_C, member_Z, pair,
-                                  parse_program, proj0, proj1, run, t1,
+from theorybench.machines import (DIVERGER, MEMO_CAP, DecJz, Halt, Inc,
+                                  MachineError, MachineProgram, No,
+                                  OracleContractError, PaddedTable, Unknown,
+                                  Yes, halting_step, load_program, load_table,
+                                  member_B, member_Bbot, member_C, member_Z,
+                                  pair, parse_program, proj0, proj1, run, t1,
                                   turing_reduce, unpair)
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -92,6 +92,72 @@ class TestRun:
         assert halting_step(even_machine, 0, 100) == 2
         assert halting_step(even_machine, 1, 100) is None
 
+    @pytest.mark.parametrize("bounds", [(1, 2, 5), (5, 2, 1)])
+    def test_running_off_the_last_line_halts(self, bounds):
+        # the halt at step k is seen at every bound >= k, whatever came first
+        prog = parse_program("INC r1\nINC r1")
+        assert [run(prog, 0, b) for b in (1, *bounds)] == \
+            [Unknown(1)] + [Yes(2) if b >= 2 else Unknown(1) for b in bounds]
+        assert run(parse_program("INC r1"), 0, 1) == Yes(1)
+
+
+def reference_run(program: MachineProgram, value: int, bound: int) -> int | None:
+    """Plain interpreter from step 0: the halting step if it is <= bound."""
+    regs = {0: value}
+    pc = 0
+    code = program.instructions
+    for step in range(bound):
+        if pc == len(code):
+            return step
+        match code[pc]:
+            case Halt():
+                return step + 1
+            case Inc(r):
+                regs[r] = regs.get(r, 0) + 1
+                pc += 1
+            case DecJz(r, target):
+                if regs.get(r, 0):
+                    regs[r] -= 1
+                    pc += 1
+                else:
+                    pc = target
+    return bound if pc == len(code) else None
+
+
+@st.composite
+def programs(draw):
+    """Small programs over r0..r2: some halt, some fall off the end, some
+    jump to themselves on a zero register, some loop without a halt."""
+    size = draw(st.integers(1, 6))
+    instructions = draw(st.lists(st.one_of(
+        st.just(Halt()),
+        st.builds(Inc, st.integers(0, 2)),
+        st.builds(DecJz, st.integers(0, 2), st.integers(0, size - 1))),
+        min_size=size, max_size=size))
+    return MachineProgram(tuple(instructions))
+
+
+class TestMemo:
+    @given(programs(), st.lists(st.tuples(st.integers(0, 6), st.integers(1, 60)),
+                                min_size=1, max_size=12))
+    def test_memo_agrees_with_a_fresh_run(self, prog, queries):
+        # inputs and bounds interleave; bounds rise, fall and repeat per input
+        for value, bound in queries:
+            expected = reference_run(prog, value, bound)
+            answer = run(prog, value, bound)
+            assert answer == (Unknown(bound) if expected is None else Yes(expected))
+
+    def test_memo_stays_within_its_cap(self):
+        prog = parse_program("DECJZ r0 2\nDECJZ r1 0\nHALT")  # halts at 2v + 2
+        for value in range(MEMO_CAP + 50):
+            run(prog, value, 3)  # open states for every value > 0
+        assert len(prog.memo) == MEMO_CAP
+        assert 0 not in prog.memo  # the oldest input went first
+        assert run(prog, 0, 10) == Yes(2)
+        last = MEMO_CAP + 49
+        assert run(prog, last, 2 * last + 2) == Yes(2 * last + 2)
+        assert len(prog.memo) == MEMO_CAP
+
 
 class TestPairing:
     def test_examples(self):
@@ -108,6 +174,14 @@ class TestPairing:
         x, y = unpair(z)
         assert pair(x, y) == z
         assert proj0(z) == x and proj1(z) == y
+
+    def test_unpair_closed_form(self):
+        assert all(unpair(pair(x, y)) == (x, y) for x in range(100) for y in range(100))
+        assert unpair(pair(10**12, 7)) == (10**12, 7)
+
+    def test_unpair_rejects_negatives(self):
+        with pytest.raises(MachineError):
+            unpair(-1)
 
 
 class TestPaddedTable:
@@ -183,3 +257,5 @@ class TestTuringReduce:
     def test_index_outside_table(self, even_machine, table):
         with pytest.raises(MachineError):
             turing_reduce(2, even_machine, 9, lambda x: True, table, 100)
+        with pytest.raises(MachineError):
+            turing_reduce(2, even_machine, -1, lambda x: True, table, 100)
