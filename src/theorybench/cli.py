@@ -281,16 +281,16 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("--cap", type=int, required=True)
     q = add_tn("bracket", _cmd_tn_bracket)
     q.add_argument("--sigma", required=True)
-    q.add_argument("--search", type=int, default=12)
+    q.add_argument("--search", type=_natural, default=12)
     q = add_tn("purify", _cmd_tn_purify)
     q.add_argument("--sigma", required=True)
 
     p = add("diag", _cmd_diag, help="the diagonal recursion")
     p.add_argument("action", choices=("F",))
-    p.add_argument("--kmax", type=int, required=True)
+    p.add_argument("--kmax", type=_natural, required=True)
     p.add_argument("--stream", required=True)
     p.add_argument("--translations", default="auto:5")
-    p.add_argument("--budget", type=int, required=True)
+    p.add_argument("--budget", type=_natural, required=True)
 
     return parser
 
@@ -310,11 +310,6 @@ def main(argv: list[str] | None = None) -> int:
         return 3
     print(result.render(args.format))
     return result.code
-
-
-def dispatch(argv: list[str]) -> int:
-    """Entry point taking an explicit argv, for tests and scripting."""
-    return main(argv)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -51,21 +51,23 @@ def enumerate_Cn(n: int) -> list[GeneratorCombination]:
     of generator i in entry j is bit i of j, and the n=0 entry is top."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    return [GeneratorCombination.minterm({i: bool(j >> i & 1) for i in range(n)})
-            for j in range(1 << n)]
+    return [GeneratorCombination.minterm(_cn_signs(n, j)) for j in range(1 << n)]
+
+
+def _cn_signs(n: int, j: int) -> dict[int, bool]:
+    """Sign of each generator i < n in pattern j: bit i of j."""
+    if not 0 <= j < 1 << n:
+        raise ValueError(f"pattern index {j} out of range for n={n}")
+    return {i: bool(j >> i & 1) for i in range(n)}
 
 
 def cn_formula(n: int, j: int) -> Formula:
     """The sign pattern as a sentence over the generator sugar."""
-    if not 0 <= j < 1 << n:
-        raise ValueError(f"pattern index {j} out of range for n={n}")
+    signs = _cn_signs(n, j)
     if n == 0:
         return Top()
-    literals: list[Formula] = []
-    for i in range(n):
-        a = Sugar("A", i)
-        literals.append(a if j >> i & 1 else Not(a))
-    return conj(literals)
+    return conj([Sugar("A", i) if positive else Not(Sugar("A", i))
+                 for i, positive in signs.items()])
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +250,7 @@ def find_p(n: int, j: int, tau: Translation, stream, budget: int) -> int:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    pattern = enumerate_Cn(n)[j]
+    pattern = GeneratorCombination.minterm(_cn_signs(n, j))
     for k in range(budget):
         g = _translated_combination(tau, stream(k))
         if not pattern.implies(g).is_top:

@@ -312,6 +312,10 @@ def qe_sentence(f: Formula) -> GeneratorCombination:
     """
     if free_variables(f):
         raise FormulaError("qe_sentence requires a sentence (no free variables)")
+    return _qe_closed(f)
+
+
+def _qe_closed(f: Formula) -> GeneratorCombination:
     match f:
         case Top():
             return TOP
@@ -320,15 +324,15 @@ def qe_sentence(f: Formula) -> GeneratorCombination:
         case Sugar("A", n, ()):
             return GeneratorCombination.generator(n)
         case Not(body):
-            return ~qe_sentence(body)
+            return ~_qe_closed(body)
         case And(a, b):
-            return qe_sentence(a) & qe_sentence(b)
+            return _qe_closed(a) & _qe_closed(b)
         case Or(a, b):
-            return qe_sentence(a) | qe_sentence(b)
+            return _qe_closed(a) | _qe_closed(b)
         case Implies(a, b):
-            return qe_sentence(a).implies(qe_sentence(b))
+            return _qe_closed(a).implies(_qe_closed(b))
         case Iff(a, b):
-            return qe_sentence(a).iff(qe_sentence(b))
+            return _qe_closed(a).iff(_qe_closed(b))
         case _:
             return _qe_closed_pipeline(f)
 

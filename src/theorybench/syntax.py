@@ -525,12 +525,10 @@ def _show(f: Formula, parent: int) -> str:
             return f"{name}[{index}]({', '.join(term_str(a) for a in args)})"
         case Not(body):
             return f"~{_show(body, _PREC_NOT)}"
-        case And(a, b):
-            s = f"{_show(a, _PREC_AND)} & {_show(b, _PREC_AND + 1)}"
-            return _wrap(s, _PREC_AND, parent)
-        case Or(a, b):
-            s = f"{_show(a, _PREC_OR)} | {_show(b, _PREC_OR + 1)}"
-            return _wrap(s, _PREC_OR, parent)
+        case And():
+            return _wrap(_show_chain(f, And, " & ", _PREC_AND), _PREC_AND, parent)
+        case Or():
+            return _wrap(_show_chain(f, Or, " | ", _PREC_OR), _PREC_OR, parent)
         case Implies(a, b):
             s = f"{_show(a, _PREC_IMP + 1)} -> {_show(b, _PREC_IMP)}"
             return _wrap(s, _PREC_IMP, parent)
@@ -542,6 +540,17 @@ def _show(f: Formula, parent: int) -> str:
         case Forall(var, body):
             return _wrap(f"forall {var}. {_show(body, _PREC_QUANT)}", _PREC_QUANT, parent)
     raise TypeError(f"not a formula: {f!r}")
+
+
+def _show_chain(f: Formula, cls: type, op: str, prec: int) -> str:
+    """A left-nested chain of one connective, walked in a loop so that long
+    chains such as the conjunctions of deep base axioms print without
+    recursing once per conjunct."""
+    rights = []
+    while isinstance(f, cls):
+        rights.append(f.right)
+        f = f.left
+    return op.join([_show(f, prec)] + [_show(r, prec + 1) for r in reversed(rights)])
 
 
 def _wrap(s: str, prec: int, parent: int) -> str:

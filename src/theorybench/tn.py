@@ -11,8 +11,9 @@ witnesses out.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
-from functools import cache
+from collections.abc import Callable, Container, Sequence
+from dataclasses import dataclass
+from functools import cache, lru_cache
 
 from .syntax import (And, App, Atom, Bot, Const, Eq, Exists, Forall, Formula,
                      FormulaError, Iff, Implies, Not, Or, Sugar, Term, Top,
@@ -41,26 +42,12 @@ class TNModel:
     def domain(self) -> range:
         return range(self.cap + 1)
 
-    def eval_term(self, t: Term, env: dict[str, int]) -> int:
-        match t:
-            case Var(name):
-                if name not in env:
-                    raise FormulaError(f"variable {name!r} not covered by the assignment")
-                return env[name]
-            case Const("0"):
-                return 0
-            case App("S", (a,)):
-                return self.succ[self.eval_term(a, env)]
-            case App("+", (a, b)):
-                return self.add[self.eval_term(a, env)][self.eval_term(b, env)]
-            case App("*", (a, b)):
-                return self.mul[self.eval_term(a, env)][self.eval_term(b, env)]
-        raise FormulaError(f"cannot evaluate term {t!r}")
 
-
+@lru_cache(maxsize=32)
 def build_capped_model(cap: int) -> TNModel:
-    """The capped structure; the axioms are verified exhaustively for small
-    caps so the min-truncation is checked, not assumed."""
+    """The capped structure, built once per cap; the axioms are verified
+    exhaustively for small caps so the min-truncation is checked, not
+    assumed."""
     if cap < 0:
         raise ValueError("cap must be >= 0")
     dom = range(cap + 1)
@@ -78,53 +65,141 @@ def build_capped_model(cap: int) -> TNModel:
     return model
 
 
+# A compiled formula: truth in a capped model under values for the names
+# of the scope it was compiled in, in order.
+_Check = Callable[[TNModel, Sequence[int]], bool]
+
+
 def model_check(f: Formula, model: TNModel, assignment: dict[str, int] | None = None) -> bool:
     """Tarskian evaluation, exhaustive over the finite domain."""
-    env = dict(assignment or {})
+    assignment = assignment or {}
+    return _compile(f, tuple(assignment))(model, tuple(assignment.values()))
 
-    def ev(g: Formula, env) -> bool:
+
+def _compile(f: Formula, scope: Sequence[str] = ()) -> _Check:
+    """Compile ``f`` once into nested closures over a capped model and a
+    flat environment, to be run in many models and under many assignments
+    to the distinct names of ``scope``.
+
+    Every quantifier gets its own environment slot, so each variable is
+    resolved to the slot of its nearest binder here, once; so is each
+    quantified variable that a defining term determines (see
+    ``_defining_term``), from the names statically in scope.  Errors are
+    not resolved here: a variable outside the scope, an unsupported atom
+    or an unsupported term compiles to a node that raises ``FormulaError``
+    when evaluation reaches it, so a formula that short-circuits past it
+    still has a value.
+    """
+    size = len(scope)
+
+    def term(t: Term, slots: dict[str, int]):
+        match t:
+            case Var(name):
+                if name not in slots:
+                    def uncovered(m, env):
+                        raise FormulaError(f"variable {name!r} not covered by the assignment")
+                    return uncovered
+                i = slots[name]
+                return lambda m, env: env[i]
+            case Const("0"):
+                return lambda m, env: 0
+            case App("S", (a,)):
+                ta = term(a, slots)
+                return lambda m, env: m.succ[ta(m, env)]
+            case App("+", (a, b)):
+                ta, tb = term(a, slots), term(b, slots)
+                return lambda m, env: m.add[ta(m, env)][tb(m, env)]
+            case App("*", (a, b)):
+                ta, tb = term(a, slots), term(b, slots)
+                return lambda m, env: m.mul[ta(m, env)][tb(m, env)]
+
+        def unsupported(m, env):
+            raise FormulaError(f"cannot evaluate term {t!r}")
+        return unsupported
+
+    def formula(g: Formula, slots: dict[str, int]):
+        nonlocal size
         match g:
             case Top():
-                return True
+                return lambda m, env: True
             case Bot():
-                return False
+                return lambda m, env: False
             case Eq(a, b):
-                return model.eval_term(a, env) == model.eval_term(b, env)
+                ta, tb = term(a, slots), term(b, slots)
+                return lambda m, env: ta(m, env) == tb(m, env)
             case Atom("<", (a, b)):
-                return model.eval_term(a, env) < model.eval_term(b, env)
+                ta, tb = term(a, slots), term(b, slots)
+                return lambda m, env: ta(m, env) < tb(m, env)
             case Not(body):
-                return not ev(body, env)
+                c = formula(body, slots)
+                return lambda m, env: not c(m, env)
             case And(a, b):
-                return ev(a, env) and ev(b, env)
+                ca, cb = formula(a, slots), formula(b, slots)
+                return lambda m, env: ca(m, env) and cb(m, env)
             case Or(a, b):
-                return ev(a, env) or ev(b, env)
+                ca, cb = formula(a, slots), formula(b, slots)
+                return lambda m, env: ca(m, env) or cb(m, env)
             case Implies(a, b):
-                return not ev(a, env) or ev(b, env)
+                ca, cb = formula(a, slots), formula(b, slots)
+                return lambda m, env: not ca(m, env) or cb(m, env)
             case Iff(a, b):
-                return ev(a, env) == ev(b, env)
-            case Exists(var, body):
-                defining = _defining_term(var, body, env)
+                ca, cb = formula(a, slots), formula(b, slots)
+                return lambda m, env: ca(m, env) == cb(m, env)
+            case Exists(var, body) | Forall(var, body):
+                slot = size
+                size += 1
+                c = formula(body, {**slots, var: slot})
+                if isinstance(g, Forall):
+                    def forall(m, env):
+                        for d in range(m.cap + 1):
+                            env[slot] = d
+                            if not c(m, env):
+                                return False
+                        return True
+                    return forall
+                defining = _defining_term(var, body, slots)
                 if defining is not None:
-                    return ev(body, {**env, var: model.eval_term(defining, env)})
-                return any(ev(body, {**env, var: d}) for d in model.domain)
-            case Forall(var, body):
-                return all(ev(body, {**env, var: d}) for d in model.domain)
-        raise FormulaError(f"cannot evaluate in a capped model: {g!r}")
+                    td = term(defining, slots)
 
-    return ev(f, env)
+                    def exists_defined(m, env):
+                        env[slot] = td(m, env)
+                        return c(m, env)
+                    return exists_defined
+
+                def exists(m, env):
+                    for d in range(m.cap + 1):
+                        env[slot] = d
+                        if c(m, env):
+                            return True
+                    return False
+                return exists
+
+        def unsupported(m, env):
+            raise FormulaError(f"cannot evaluate in a capped model: {g!r}")
+        return unsupported
+
+    check = formula(f, {name: i for i, name in enumerate(scope)})
+    padding = (0,) * (size - len(scope))
+
+    def run(model: TNModel, values: Sequence[int] = ()) -> bool:
+        return check(model, [*values, *padding])
+    return run
 
 
-def _defining_term(var: str, body: Formula, env: dict[str, int]) -> Term | None:
+def _defining_term(var: str, body: Formula, scope: Container[str],
+                   rebound: frozenset[str] = frozenset()) -> Term | None:
     """A term equated to ``var`` by a positive conjunct whose variables are
-    already assigned: such a variable is determined, not searched.  (Sound
-    because the operations of a capped model are total functions.)"""
+    all in ``scope`` and not rebound on the way down to it: such a variable
+    is determined, not searched.  (Sound because the operations of a capped
+    model are total functions.)"""
     match body:
         case And(a, b):
-            return _defining_term(var, a, env) or _defining_term(var, b, env)
+            return _defining_term(var, a, scope, rebound) or _defining_term(var, b, scope, rebound)
         case Exists(inner_var, inner) if inner_var != var:
-            return _defining_term(var, inner, env)
+            return _defining_term(var, inner, scope, rebound | {inner_var})
         case Eq(t, Var(v)) | Eq(Var(v), t) if v == var and not isinstance(t, Var):
-            if all(name in env for name in term_vars(t)):
+            names = term_vars(t)
+            if var not in names and not names & rebound and all(name in scope for name in names):
                 return t
     return None
 
@@ -147,17 +222,19 @@ TN_AXIOMS: tuple[tuple[str, str], ...] = (
 
 
 @cache
-def _parsed_tn_axioms() -> tuple[tuple[str, Formula, tuple[str, ...]], ...]:
-    """(name, open body, sorted free variables) of each axiom, parsed once."""
+def _parsed_tn_axioms() -> tuple[tuple[str, Formula, tuple[str, ...], _Check], ...]:
+    """(name, open body, sorted free variables, body compiled over them) of
+    each axiom, parsed and compiled once."""
     out = []
     for name, text in TN_AXIOMS:
         body = parse(text, TN_SIG)
-        out.append((name, body, tuple(sorted(free_variables(body)))))
+        fv = tuple(sorted(free_variables(body)))
+        out.append((name, body, fv, _compile(body, fv)))
     return tuple(out)
 
 
 def tn_axiom_formula(index: int) -> Formula:
-    _, body, fv = _parsed_tn_axioms()[index]
+    _, body, fv, _ = _parsed_tn_axioms()[index]
     for v in reversed(fv):
         body = Forall(v, body)
     return body
@@ -167,10 +244,10 @@ def verify_tn_axioms(model: TNModel) -> list[tuple[str, bool, tuple[int, ...] | 
     """Per-axiom exhaustive check; each entry is (name, passed,
     counterexample assignment over the axiom's variables or None)."""
     report = []
-    for name, body, fv in _parsed_tn_axioms():
+    for name, _, fv, check in _parsed_tn_axioms():
         failure = None
         for values in itertools.product(model.domain, repeat=len(fv)):
-            if not model_check(body, model, dict(zip(fv, values))):
+            if not check(model, values):
                 failure = values
                 break
         report.append((name, failure is None, failure))
@@ -597,9 +674,9 @@ def bracket(sigma: PureSigma) -> Theory:
 
 def witness_model(sigma: PureSigma, search_cap: int) -> TNModel | None:
     """Smallest capped model satisfying the bracket axiom, or None."""
-    axiom = bracket_axiom(sigma)
+    check = _compile(bracket_axiom(sigma))
     for cap in range(search_cap + 1):
         model = build_capped_model(cap)
-        if model_check(axiom, model):
+        if check(model):
             return model
     return None

@@ -149,6 +149,17 @@ class TestProtocol:
                                 "--bound", "10000", "--w", "10")
         assert code == 3 and out == "" and "natural number" in err
 
+    @pytest.mark.parametrize("args", [
+        ("tn", "bracket", "--sigma", "exists y. y = 0", "--search", "-1"),
+        ("diag", "F", "--kmax", "-1", "--stream", str(FIXTURES / "diag.sents"),
+         "--budget", "200"),
+        ("diag", "F", "--kmax", "2", "--stream", str(FIXTURES / "diag.sents"),
+         "--budget", "-1"),
+    ], ids=["tn-bracket-search", "diag-kmax", "diag-budget"])
+    def test_negative_count_flag_is_exit_3(self, invoke, args):
+        code, out, err = invoke(*args)
+        assert code == 3 and out == "" and "natural number" in err
+
     def test_json_format(self, invoke):
         code, out, _ = invoke("qe", "A[0] | A[1]", "--format", "json")
         payload = json.loads(out)

@@ -128,6 +128,12 @@ class TestFindP:
             find_p(1, 0, translations[1], stream, budget=7)
         assert exc.value.budget == 7 and exc.value.j == 0
 
+    @pytest.mark.parametrize("j", [-1, 2])
+    def test_pattern_index_out_of_range(self, translations, j):
+        stream = stream_from_sentences([parse("A[0]")])
+        with pytest.raises(ValueError, match=f"pattern index {j} out of range for n=1"):
+            find_p(1, j, translations[1], stream, 10)
+
 
 class TestFAndBuildX:
     def test_f_at_least_n(self, translations):

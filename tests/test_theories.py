@@ -118,6 +118,15 @@ class TestBuildSo:
         assert "A[0]" in emitted
         assert not any(s.startswith("~A[") for s in emitted)
 
+    def test_deep_base_axiom_prints_and_parses_back(self):
+        # thousands of left-nested conjuncts: printing must not recurse
+        # once per conjunct
+        theory = build_so(load_program(FIXTURES / "even.cm"),
+                          load_program(FIXTURES / "const401.cm"))
+        text = pretty(theory.axiom(400))
+        assert text.startswith("exists x1. exists x2.") and text.count(" & ") > 1000
+        assert pretty(parse(text)) == text
+
 
 class TestDecideSch:
     B, C = {0, 2}, {1}
