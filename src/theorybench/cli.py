@@ -13,19 +13,16 @@ import json
 import sys
 from dataclasses import dataclass
 
-from .boolcomb import GeneratorCombination
-from .diagonal import (Exhausted, build_X, enumerate_translations, find_p,
+from .diagonal import (Exhausted, build_X, enumerate_translations,
                        stream_from_sentences)
 from .janiczak import (config_to_formula, decide_J, enumerate_configs,
                        qe_sentence)
-from .machines import (MachineError, OracleContractError, PaddedTable,
-                       Unknown, Yes, load_program, load_table, member_B,
-                       member_Bbot, member_C, member_Z, pair, run,
-                       turing_reduce)
-from .syntax import (Formula, FormulaError, J_SIG, TN_SIG, parse, pretty)
-from .theories import J, build_sch, build_so, decide_ovee, decide_sch, ovee
-from .tn import (build_capped_model, bracket_axiom, model_check, purify,
-                 verify_tn_axioms, witness_model)
+from .machines import (MachineError, OracleContractError, PaddedTable, Yes,
+                       load_program, load_table, member_B, member_Bbot,
+                       member_C, member_Z, run, turing_reduce)
+from .syntax import FormulaError, J_SIG, TN_SIG, parse, pretty
+from .theories import J, build_so, decide_ovee, decide_sch, ovee
+from .tn import build_capped_model, purify, verify_tn_axioms, witness_model
 
 
 @dataclass
@@ -307,6 +304,9 @@ def main(argv: list[str] | None = None) -> int:
     except (UsageError, FormulaError, MachineError, OracleContractError,
             OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except RecursionError:
+        print("error: formula nested too deeply", file=sys.stderr)
         return 3
     print(result.render(args.format))
     return result.code

@@ -18,12 +18,11 @@ import functools
 import itertools
 from dataclasses import dataclass, field
 
-from .boolcomb import TOP, GeneratorCombination
+from .boolcomb import GeneratorCombination
 from .janiczak import qe_sentence
-from .syntax import (And, App, Atom, Bot, Const, Eq, Exists, Forall, Formula,
-                     FormulaError, Iff, Implies, J_SIG, Not, Or, Signature,
-                     Sugar, Term, Top, Var, conj, expand_sugar, free_variables,
-                     pretty, substitute)
+from .syntax import (And, Atom, Eq, Exists, Forall, Formula, FormulaError,
+                     Implies, Not, Or, Signature, Sugar, Term, Top, Var, conj,
+                     expand_sugar, free_variables, pretty, rewrite, substitute)
 
 
 class DiagonalError(Exception):
@@ -126,56 +125,21 @@ def _plug(clause: Formula, params: tuple[str, ...], args: tuple[Term, ...]) -> F
 def apply_translation(tau: Translation, phi: Formula) -> Formula:
     """Relativise every quantifier of a source sentence to the domain and
     replace every atom by its clause; generator sugar is expanded first."""
-    phi = expand_sugar(phi)
 
     def go(g: Formula) -> Formula:
         match g:
-            case Top() | Bot():
-                return g
             case Atom(rel, args):
                 params, body = tau.clause(rel)
                 return _plug(body, params, args)
-            case Eq(a, b):
-                if tau.equality is None:
-                    return g
+            case Eq(a, b) if tau.equality is not None:
                 return _plug(tau.equality, ("x", "y"), (a, b))
-            case Not(body):
-                return Not(go(body))
-            case And(a, b):
-                return And(go(a), go(b))
-            case Or(a, b):
-                return Or(go(a), go(b))
-            case Implies(a, b):
-                return Implies(go(a), go(b))
-            case Iff(a, b):
-                return Iff(go(a), go(b))
             case Exists(v, body):
-                return Exists(v, And(substitute(tau.domain, {"x": Var(v)}), go(body)))
+                return Exists(v, And(substitute(tau.domain, {"x": Var(v)}), body))
             case Forall(v, body):
-                return Forall(v, Implies(substitute(tau.domain, {"x": Var(v)}), go(body)))
-        raise FormulaError(f"cannot translate {g!r}")
+                return Forall(v, Implies(substitute(tau.domain, {"x": Var(v)}), body))
+        return g
 
-    return go(phi)
-
-
-def _ast_size(f: Formula) -> int:
-    def tsize(t: Term) -> int:
-        return 1 + (sum(tsize(a) for a in t.args) if isinstance(t, App) else 0)
-
-    match f:
-        case Top() | Bot():
-            return 1
-        case Atom(_, args):
-            return 1 + sum(tsize(t) for t in args)
-        case Eq(a, b):
-            return 1 + tsize(a) + tsize(b)
-        case Sugar(_, _, args):
-            return 1 + sum(tsize(t) for t in args)
-        case Not(body) | Exists(_, body) | Forall(_, body):
-            return 1 + _ast_size(body)
-        case And(a, b) | Or(a, b) | Implies(a, b) | Iff(a, b):
-            return 1 + _ast_size(a) + _ast_size(b)
-    raise FormulaError(f"no size for {f!r}")
+    return rewrite(expand_sugar(phi), go)
 
 
 def _clause_formulas(variables: tuple[str, ...], size_bound: int) -> list[Formula]:

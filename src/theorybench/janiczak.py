@@ -18,12 +18,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable
 
 from .boolcomb import BOTTOM, TOP, GeneratorCombination
 from .syntax import (
     And, Atom, Bot, Eq, Exists, Forall, FormulaError, Formula, Iff, Implies,
-    Not, Or, Sugar, Top, Var, conj, contains_sugar, expand_sugar,
-    free_variables, prenex,
+    Not, Or, Sugar, Top, Var, _has_quantifier, conj, disj, expand_sugar,
+    free_variables, prenex, subformulas,
 )
 
 
@@ -223,7 +224,6 @@ def qf_to_configs(matrix: Formula, n: int, vars: tuple[str, ...]) -> frozenset[C
     """The unique configuration set whose disjunction is equivalent to the
     quantifier-free ``matrix``: each configuration decides every atom, so a
     configuration is kept iff the matrix holds under its atom valuation."""
-    from .syntax import _has_quantifier
     if _has_quantifier(matrix):
         raise FormulaError("matrix must be quantifier-free")
     if not free_variables(matrix) <= set(vars):
@@ -284,15 +284,13 @@ def _empty_config_to_minterm(c: Configuration) -> GeneratorCombination:
 
 
 def _qe_closed_pipeline(f: Formula) -> GeneratorCombination:
-    """Configuration pipeline for a closed formula without sugar atoms at
-    the top level (inner sugar is expanded first)."""
-    f = expand_sugar(f)
-    pf = prenex(f)
-    m = len(pf.prefix)
-    n = max(1, m)
-    vars_all = tuple(v for _, v in pf.prefix)
-    configs = qf_to_configs(pf.matrix, n, vars_all)
-    configs = _eliminate_prefix(configs, pf.prefix, n, ())
+    """A closed leaf of the Boolean structure: a generator sugar atom is its
+    generator; anything else runs through the configuration pipeline (inner
+    sugar is expanded first)."""
+    match f:
+        case Sugar("A", n, ()):
+            return GeneratorCombination.generator(n)
+    _, configs = qe_open(f)
     result = BOTTOM
     for c in configs:
         result = result | _empty_config_to_minterm(c)
@@ -312,29 +310,30 @@ def qe_sentence(f: Formula) -> GeneratorCombination:
     """
     if free_variables(f):
         raise FormulaError("qe_sentence requires a sentence (no free variables)")
-    return _qe_closed(f)
+    return boolean_fold(f, _qe_closed_pipeline)
 
 
-def _qe_closed(f: Formula) -> GeneratorCombination:
+def boolean_fold(f: Formula, leaf: Callable[[Formula], GeneratorCombination]) -> GeneratorCombination:
+    """The Boolean homomorphism from sentences to generator combinations
+    that sends ``true``/``false`` to top/bottom, each connective to its
+    Boolean operation, and every other subformula (an atom or a quantified
+    formula) to ``leaf`` of it."""
     match f:
         case Top():
             return TOP
         case Bot():
             return BOTTOM
-        case Sugar("A", n, ()):
-            return GeneratorCombination.generator(n)
         case Not(body):
-            return ~_qe_closed(body)
+            return ~boolean_fold(body, leaf)
         case And(a, b):
-            return _qe_closed(a) & _qe_closed(b)
+            return boolean_fold(a, leaf) & boolean_fold(b, leaf)
         case Or(a, b):
-            return _qe_closed(a) | _qe_closed(b)
+            return boolean_fold(a, leaf) | boolean_fold(b, leaf)
         case Implies(a, b):
-            return _qe_closed(a).implies(_qe_closed(b))
+            return boolean_fold(a, leaf).implies(boolean_fold(b, leaf))
         case Iff(a, b):
-            return _qe_closed(a).iff(_qe_closed(b))
-        case _:
-            return _qe_closed_pipeline(f)
+            return boolean_fold(a, leaf).iff(boolean_fold(b, leaf))
+    return leaf(f)
 
 
 def decide_J(f: Formula) -> bool:
@@ -367,22 +366,6 @@ def _first_occurrence_order(f: Formula) -> list[str]:
     fv = free_variables(f)
     order: list[str] = []
 
-    def walk(g: Formula):
-        match g:
-            case Atom(_, args) | Sugar(_, _, args):
-                for t in args:
-                    _walk_term(t)
-            case Eq(a, b):
-                _walk_term(a)
-                _walk_term(b)
-            case Not(body) | Exists(_, body) | Forall(_, body):
-                walk(body)
-            case And(a, b) | Or(a, b) | Implies(a, b) | Iff(a, b):
-                walk(a)
-                walk(b)
-            case _:
-                pass
-
     def _walk_term(t):
         match t:
             case Var(name):
@@ -392,7 +375,14 @@ def _first_occurrence_order(f: Formula) -> list[str]:
                 for sub in getattr(t, "args", ()):
                     _walk_term(sub)
 
-    walk(f)
+    for g in subformulas(f):
+        match g:
+            case Atom(_, args) | Sugar(_, _, args):
+                for t in args:
+                    _walk_term(t)
+            case Eq(a, b):
+                _walk_term(a)
+                _walk_term(b)
     return order
 
 
@@ -400,7 +390,6 @@ def configs_to_extended_formula(configs, n: int, vars: tuple[str, ...]) -> Formu
     """Quantifier-free form in the signature extended by the generator and
     size-bound sugar atoms, as a disjunction of configuration formulas."""
     ordered = sorted(configs, key=Configuration.sort_key)
-    from .syntax import disj
     return disj([config_to_formula(c) for c in ordered])
 
 

@@ -1,8 +1,8 @@
 """First-order syntax over finite one-sorted signatures.
 
 Abstract syntax, a concrete grammar with parser and printer, sugar atoms
-``A[n]`` / ``B[n](x)``, prenexing, free variables and substitution.  All
-values are immutable; every operation is a pure function.
+``A[n]`` / ``B[n](x)``, one traversal core, prenexing, free variables and
+substitution.  All values are immutable; every operation is a pure function.
 
 Grammar (precedence, tightest first): ``~``, ``&``, ``|``, ``->`` (right
 associative), ``<->``; a quantifier body extends maximally to the right.
@@ -14,7 +14,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import reduce
-from typing import Iterable, Iterator, Union
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar, Union
 
 
 class FormulaError(Exception):
@@ -223,6 +223,77 @@ def disj(parts: Iterable[Formula]) -> Formula:
     if not parts:
         return FALSE
     return reduce(Or, parts)
+
+
+# ---------------------------------------------------------------------------
+# Traversal
+#
+# Passes that differ from the identity only at atoms or binders are written
+# through these combinators.  ``subformulas``, ``fold`` and ``rewrite`` keep
+# their own stack, so they handle any nesting depth the parser produced.
+
+
+def children(f: Formula) -> tuple[Formula, ...]:
+    """The immediate subformulas of ``f``, left to right; none for an atom."""
+    match f:
+        case Not() | Exists() | Forall():
+            return (f.body,)
+        case And() | Or() | Implies() | Iff():
+            return (f.left, f.right)
+    return ()
+
+
+def rebuild(f: Formula, kids: Sequence[Formula]) -> Formula:
+    """``f`` with its immediate subformulas replaced by ``kids``, given in
+    the order of ``children``; an atom is returned as it is."""
+    match f:
+        case Not():
+            return Not(kids[0])
+        case Exists() | Forall():
+            return type(f)(f.var, kids[0])
+        case And() | Or() | Implies() | Iff():
+            return type(f)(kids[0], kids[1])
+    return f
+
+
+def subformulas(f: Formula) -> Iterator[Formula]:
+    """Every subformula of ``f`` (``f`` included) in left-to-right preorder."""
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        yield g
+        stack.extend(reversed(children(g)))
+
+
+_T = TypeVar("_T")
+
+
+def fold(f: Formula, combine: Callable[[Formula, tuple[_T, ...]], _T]) -> _T:
+    """Bottom-up fold: ``combine(g, values)`` for each subformula ``g`` with
+    the values of its children, children left to right and before ``g``."""
+    values: list[_T] = []
+    # a subformula still to expand, or (subformula, arity) once its children
+    # are on the stack above it
+    stack: list[Formula | tuple[Formula, int]] = [f]
+    while stack:
+        g = stack.pop()
+        if type(g) is tuple:
+            g, n = g
+            args = tuple(values[-n:])
+            del values[-n:]
+            values.append(combine(g, args))
+        elif kids := children(g):
+            stack.append((g, len(kids)))
+            stack.extend(reversed(kids))
+        else:
+            values.append(combine(g, ()))
+    return values[0]
+
+
+def rewrite(f: Formula, post: Callable[[Formula], Formula]) -> Formula:
+    """Rebuild ``f`` bottom-up, applying ``post`` to each subformula once its
+    children have been rewritten; what ``post`` returns is not visited."""
+    return fold(f, lambda g, kids: post(rebuild(g, kids)))
 
 
 # ---------------------------------------------------------------------------
@@ -573,6 +644,10 @@ def term_vars(t: Term) -> frozenset[str]:
 
 
 def free_variables(f: Formula) -> frozenset[str]:
+    return fold(f, _free_in)
+
+
+def _free_in(f: Formula, kids: tuple[frozenset[str], ...]) -> frozenset[str]:
     match f:
         case Top() | Bot():
             return frozenset()
@@ -580,12 +655,12 @@ def free_variables(f: Formula) -> frozenset[str]:
             return frozenset().union(*(term_vars(a) for a in args)) if args else frozenset()
         case Eq(a, b):
             return term_vars(a) | term_vars(b)
-        case Not(body):
-            return free_variables(body)
-        case And(a, b) | Or(a, b) | Implies(a, b) | Iff(a, b):
-            return free_variables(a) | free_variables(b)
-        case Exists(var, body) | Forall(var, body):
-            return free_variables(body) - {var}
+        case Not():
+            return kids[0]
+        case And() | Or() | Implies() | Iff():
+            return kids[0] | kids[1]
+        case Exists(var, _) | Forall(var, _):
+            return kids[0] - {var}
     raise TypeError(f"not a formula: {f!r}")
 
 
@@ -605,36 +680,26 @@ def substitute(f: Formula, mapping: dict[str, Term]) -> Formula:
     if not mapping:
         return f
     match f:
-        case Top() | Bot():
-            return f
         case Atom(rel, args):
             return Atom(rel, tuple(subst_term(a, mapping) for a in args))
         case Sugar(name, index, args):
             return Sugar(name, index, tuple(subst_term(a, mapping) for a in args))
         case Eq(a, b):
             return Eq(subst_term(a, mapping), subst_term(b, mapping))
-        case Not(body):
-            return Not(substitute(body, mapping))
-        case And(a, b):
-            return And(substitute(a, mapping), substitute(b, mapping))
-        case Or(a, b):
-            return Or(substitute(a, mapping), substitute(b, mapping))
-        case Implies(a, b):
-            return Implies(substitute(a, mapping), substitute(b, mapping))
-        case Iff(a, b):
-            return Iff(substitute(a, mapping), substitute(b, mapping))
         case Exists(var, body) | Forall(var, body):
-            cls = Exists if isinstance(f, Exists) else Forall
             inner = {k: v for k, v in mapping.items() if k != var}
             if not inner:
-                return cls(var, body)
+                return type(f)(var, body)
             captured = frozenset().union(*(term_vars(t) for t in inner.values()))
             if var in captured:
                 fresh = _fresh_name(var, captured | free_variables(body) | set(inner))
                 body = substitute(body, {var: Var(fresh)})
                 var = fresh
-            return cls(var, substitute(body, inner))
-    raise TypeError(f"not a formula: {f!r}")
+            return type(f)(var, substitute(body, inner))
+    kids = []
+    for k in children(f):
+        kids.append(substitute(k, mapping))
+    return rebuild(f, kids)
 
 
 def _fresh_name(base: str, avoid: Iterable[str]) -> str:
@@ -665,31 +730,15 @@ def rename_symbols(f: Formula, rel_map: dict[str, str], fun_map: dict[str, str] 
 
     def rf(g: Formula) -> Formula:
         match g:
-            case Top() | Bot():
-                return g
             case Atom(rel, args):
                 return Atom(rel_map.get(rel, rel), tuple(rt(a) for a in args))
             case Sugar(name, index, args):
                 return Sugar(sugar_map.get(name, name), index, tuple(rt(a) for a in args))
             case Eq(a, b):
                 return Eq(rt(a), rt(b))
-            case Not(body):
-                return Not(rf(body))
-            case And(a, b):
-                return And(rf(a), rf(b))
-            case Or(a, b):
-                return Or(rf(a), rf(b))
-            case Implies(a, b):
-                return Implies(rf(a), rf(b))
-            case Iff(a, b):
-                return Iff(rf(a), rf(b))
-            case Exists(var, body):
-                return Exists(var, rf(body))
-            case Forall(var, body):
-                return Forall(var, rf(body))
-        raise TypeError(f"not a formula: {g!r}")
+        return g
 
-    return rf(f)
+    return rewrite(f, rf)
 
 
 # ---------------------------------------------------------------------------
@@ -703,6 +752,10 @@ def expand_sugar(f: Formula) -> Formula:
     ``B[n](x)`` says the class of ``x`` has size > n (so ``B[0](x)`` holds
     trivially by reflexivity).
     """
+    return rewrite(f, _expand_atom)
+
+
+def _expand_atom(f: Formula) -> Formula:
     match f:
         case Sugar("A", n, ()):
             return _expand_a(n)
@@ -710,23 +763,7 @@ def expand_sugar(f: Formula) -> Formula:
             return _expand_b(n, x)
         case Sugar(name, _, _):
             raise FormulaError(f"cannot expand tagged sugar atom {name!r} outside its theory context")
-        case Top() | Bot() | Atom(_, _) | Eq(_, _):
-            return f
-        case Not(body):
-            return Not(expand_sugar(body))
-        case And(a, b):
-            return And(expand_sugar(a), expand_sugar(b))
-        case Or(a, b):
-            return Or(expand_sugar(a), expand_sugar(b))
-        case Implies(a, b):
-            return Implies(expand_sugar(a), expand_sugar(b))
-        case Iff(a, b):
-            return Iff(expand_sugar(a), expand_sugar(b))
-        case Exists(var, body):
-            return Exists(var, expand_sugar(body))
-        case Forall(var, body):
-            return Forall(var, expand_sugar(body))
-    raise TypeError(f"not a formula: {f!r}")
+    return f
 
 
 def _witness_names(count: int, avoid: frozenset[str]) -> list[str]:
@@ -774,15 +811,7 @@ def _expand_b(n: int, x: Term) -> Formula:
 
 
 def contains_sugar(f: Formula) -> bool:
-    match f:
-        case Sugar(_, _, _):
-            return True
-        case Not(body) | Exists(_, body) | Forall(_, body):
-            return contains_sugar(body)
-        case And(a, b) | Or(a, b) | Implies(a, b) | Iff(a, b):
-            return contains_sugar(a) or contains_sugar(b)
-        case _:
-            return False
+    return any(isinstance(g, Sugar) for g in subformulas(f))
 
 
 # ---------------------------------------------------------------------------
@@ -812,36 +841,18 @@ class PrenexFormula:
 
 
 def _has_quantifier(f: Formula) -> bool:
-    match f:
-        case Exists(_, _) | Forall(_, _):
-            return True
-        case Not(body):
-            return _has_quantifier(body)
-        case And(a, b) | Or(a, b) | Implies(a, b) | Iff(a, b):
-            return _has_quantifier(a) or _has_quantifier(b)
-        case _:
-            return False
+    return any(isinstance(g, (Exists, Forall)) for g in subformulas(f))
 
 
 def _eliminate_iff(f: Formula) -> Formula:
+    return rewrite(f, _iff_to_implications)
+
+
+def _iff_to_implications(f: Formula) -> Formula:
     match f:
         case Iff(a, b):
-            a2, b2 = _eliminate_iff(a), _eliminate_iff(b)
-            return And(Implies(a2, b2), Implies(b2, a2))
-        case Not(body):
-            return Not(_eliminate_iff(body))
-        case And(a, b):
-            return And(_eliminate_iff(a), _eliminate_iff(b))
-        case Or(a, b):
-            return Or(_eliminate_iff(a), _eliminate_iff(b))
-        case Implies(a, b):
-            return Implies(_eliminate_iff(a), _eliminate_iff(b))
-        case Exists(var, body):
-            return Exists(var, _eliminate_iff(body))
-        case Forall(var, body):
-            return Forall(var, _eliminate_iff(body))
-        case _:
-            return f
+            return And(Implies(a, b), Implies(b, a))
+    return f
 
 
 def _rectify(f: Formula) -> Formula:
@@ -852,7 +863,6 @@ def _rectify(f: Formula) -> Formula:
     def go(g: Formula) -> Formula:
         match g:
             case Exists(var, body) | Forall(var, body):
-                cls = Exists if isinstance(g, Exists) else Forall
                 if var in used:
                     fresh = _fresh_name(var, used)
                     used.add(fresh)
@@ -860,19 +870,11 @@ def _rectify(f: Formula) -> Formula:
                     var = fresh
                 else:
                     used.add(var)
-                return cls(var, go(body))
-            case Not(body):
-                return Not(go(body))
-            case And(a, b):
-                return And(go(a), go(b))
-            case Or(a, b):
-                return Or(go(a), go(b))
-            case Implies(a, b):
-                return Implies(go(a), go(b))
-            case Iff(a, b):
-                return Iff(go(a), go(b))
-            case _:
-                return g
+                return type(g)(var, go(body))
+        kids = []
+        for k in children(g):
+            kids.append(go(k))
+        return rebuild(g, kids)
 
     return go(f)
 

@@ -1,12 +1,12 @@
 """Theory objects and the effective constructions that produce them.
 
 A theory is a signature plus a fair axiom stream (a total function from
-indices to sentences in which every axiom eventually appears) and an
-optional decision-procedure tag.  Builders: the switch-predicate infimum
-of two theories, and the machine-driven extensions of the equivalence
-theory by positive/negative generator axioms (the witness-race builder
-``build_sch`` and the two-halting-sets builder ``build_so``), with their
-oracle-relative decision procedures.
+indices to sentences in which every axiom eventually appears).
+Builders: the switch-predicate infimum of two theories, and the
+machine-driven extensions of the equivalence theory by positive/negative
+generator axioms (the witness-race builder ``build_sch`` and the
+two-halting-sets builder ``build_so``), with their oracle-relative
+decision procedures.
 """
 from __future__ import annotations
 
@@ -14,12 +14,12 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from .boolcomb import BOTTOM, TOP, GeneratorCombination
-from .janiczak import decide_J, qe_sentence
+from .janiczak import boolean_fold, qe_sentence
 from .machines import (BoundedAnswer, MachineProgram, No, OracleContractError,
-                       PaddedTable, Unknown, Yes, member_B, member_C, run)
-from .syntax import (And, Atom, Bot, Exists, Forall, Formula, FormulaError,
-                     Iff, Implies, Not, Or, Signature, Sugar, Top, Var, conj,
-                     free_variables, rename_symbols)
+                       PaddedTable, Yes, member_B, member_C, run)
+from .syntax import (J_SIG, And, Atom, Exists, Forall, Formula, FormulaError,
+                     Implies, Not, Signature, Sugar, Var, conj, free_variables,
+                     rename_symbols, subformulas)
 
 MembershipProc = Callable[[int, int], BoundedAnswer]
 
@@ -31,13 +31,10 @@ class Theory:
     name: str
     signature: Signature
     axiom: Callable[[int], Formula]
-    decision: str | None = None
 
 
 # ---------------------------------------------------------------------------
 # The base equivalence theory
-
-J_SIGNATURE = Signature(relations=(("E", 2),))
 
 
 def _exact_size(s: int, x: Var) -> Formula:
@@ -84,7 +81,7 @@ def j_axiom(index: int) -> Formula:
     return _j2(level + 1) if which == 0 else _j3(level + 1)
 
 
-J = Theory("J", J_SIGNATURE, j_axiom, decision="janiczak-qe")
+J = Theory("J", J_SIG, j_axiom)
 
 
 # ---------------------------------------------------------------------------
@@ -127,14 +124,13 @@ def ovee(left: Theory, right: Theory) -> Theory:
         body = rename_symbols(right.axiom(i), *rmaps)
         return Implies(Not(Atom("P")), body)
 
-    return Theory(f"{left.name} ovee {right.name}", sig, axiom, decision="ovee-composite")
+    return Theory(f"{left.name} ovee {right.name}", sig, axiom)
 
 
 def _formula_side(f: Formula) -> set[str]:
     """Tags ('left'/'right'/'P') of the symbols occurring in a formula."""
     tags: set[str] = set()
-
-    def walk(g: Formula):
+    for g in subformulas(f):
         match g:
             case Atom("P", ()):
                 tags.add("P")
@@ -142,15 +138,6 @@ def _formula_side(f: Formula) -> set[str]:
                 tags.add(rel.rsplit("_", 1)[-1])
             case Sugar(name, _, _):
                 tags.add(name.rsplit("_", 1)[-1])
-            case Not(b) | Exists(_, b) | Forall(_, b):
-                walk(b)
-            case And(a, b) | Or(a, b) | Implies(a, b) | Iff(a, b):
-                walk(a)
-                walk(b)
-            case _:
-                pass
-
-    walk(f)
     return tags
 
 
@@ -178,32 +165,17 @@ def decide_ovee(chi: Formula) -> bool:
     if free_variables(chi):
         raise FormulaError("decide_ovee requires a sentence")
 
-    def to_comb(f: Formula, p_value: bool) -> GeneratorCombination:
+    def leaf(f: Formula, p_value: bool) -> GeneratorCombination:
         match f:
-            case Top():
-                return TOP
-            case Bot():
-                return BOTTOM
             case Atom("P", ()):
                 return TOP if p_value else BOTTOM
-            case Not(body):
-                return ~to_comb(body, p_value)
-            case And(a, b):
-                return to_comb(a, p_value) & to_comb(b, p_value)
-            case Or(a, b):
-                return to_comb(a, p_value) | to_comb(b, p_value)
-            case Implies(a, b):
-                return to_comb(a, p_value).implies(to_comb(b, p_value))
-            case Iff(a, b):
-                return to_comb(a, p_value).iff(to_comb(b, p_value))
-            case _:
-                tags = _formula_side(f)
-                if tags == {"left"} or tags == {"right"}:
-                    return _side_combination(f, tags.pop())
-                raise FormulaError(
-                    f"outside the decidable fragment: mixed or untagged leaf {f!r}")
+        tags = _formula_side(f)
+        if tags == {"left"} or tags == {"right"}:
+            return _side_combination(f, tags.pop())
+        raise FormulaError(
+            f"outside the decidable fragment: mixed or untagged leaf {f!r}")
 
-    return to_comb(chi, True).is_top and to_comb(chi, False).is_top
+    return all(boolean_fold(chi, lambda f: leaf(f, p_value)).is_top for p_value in (True, False))
 
 
 # ---------------------------------------------------------------------------
@@ -218,8 +190,7 @@ class JXTheory:
     name: str
     positive: MembershipProc
     negative: MembershipProc
-    decision: str | None = None
-    signature: Signature = J_SIGNATURE
+    signature: Signature = J_SIG
     # a generator axiom, or the index of a base axiom built when asked for
     _emitted: list[Formula | int] = field(default_factory=list)
     _seen: set[tuple[str, int]] = field(default_factory=set)
@@ -255,7 +226,6 @@ def build_sch(a: MachineProgram, table: Sequence[MachineProgram]) -> JXTheory:
         name="sch",
         positive=lambda n, bound: member_B(a, n, padded, bound),
         negative=lambda n, bound: member_C(a, n, padded, bound),
-        decision="sch-oracle",
     )
 
 
@@ -266,7 +236,6 @@ def build_so(a: MachineProgram, b: MachineProgram) -> JXTheory:
         name="so",
         positive=lambda n, bound: run(a, n, bound),
         negative=lambda n, bound: run(b, n, bound),
-        decision="so-oracle",
     )
 
 

@@ -16,8 +16,9 @@ from dataclasses import dataclass
 from functools import cache, lru_cache
 
 from .syntax import (And, App, Atom, Bot, Const, Eq, Exists, Forall, Formula,
-                     FormulaError, Iff, Implies, Not, Or, Sugar, Term, Top,
-                     TN_SIG, Var, conj, free_variables, parse, term_vars)
+                     FormulaError, Iff, Implies, Not, Or, Term, Top, TN_SIG,
+                     Var, children, conj, free_variables, parse, subformulas,
+                     term_vars)
 from .theories import Theory
 
 
@@ -300,21 +301,17 @@ def _is_pure_atom(f: Formula) -> bool:
 
 
 def _check_pure(f: Formula):
-    match f:
-        case Not(body):
-            _check_pure(body)
-        case And(a, b) | Or(a, b) | Implies(a, b) | Iff(a, b):
-            _check_pure(a)
-            _check_pure(b)
-        case Exists(u, And(Atom("<", (Var(u2), Var(_))), body)) if u == u2:
-            _check_pure(body)
-        case Forall(u, Implies(Atom("<", (Var(u2), Var(_))), body)) if u == u2:
-            _check_pure(body)
-        case Exists(_, _) | Forall(_, _):
-            raise FormulaError(f"unbounded or ill-bounded quantifier in pure matrix: {f!r}")
-        case _:
-            if not _is_pure_atom(f):
-                raise FormulaError(f"impure atom: {f!r}")
+    # the guard of a bounded quantifier is itself a pure atom
+    for g in subformulas(f):
+        match g:
+            case Exists(u, And(Atom("<", (Var(u2), Var(_))), _)) if u == u2:
+                pass
+            case Forall(u, Implies(Atom("<", (Var(u2), Var(_))), _)) if u == u2:
+                pass
+            case Exists(_, _) | Forall(_, _):
+                raise FormulaError(f"unbounded or ill-bounded quantifier in pure matrix: {g!r}")
+            case _ if not children(g) and not _is_pure_atom(g):
+                raise FormulaError(f"impure atom: {g!r}")
 
 
 def _shallow_app(t: Term) -> bool:
@@ -505,26 +502,12 @@ def _strip_exists(f: Formula) -> tuple[list[str], Formula]:
 
 def _check_sigma1(f: Formula):
     """Reject unbounded universal quantifiers below the existential prefix."""
-    match f:
-        case Forall(u, body):
-            match body:
-                case Implies(Atom("<", (Var(u2), _)), inner) if u2 == u:
-                    _check_sigma1(inner)
-                case _:
-                    raise FormulaError("unbounded universal quantifier: input is not purely existential")
-        case Exists(u, body):
-            match body:
-                case And(Atom("<", (Var(u2), _)), inner) if u2 == u:
-                    _check_sigma1(inner)
-                case _:
-                    _check_sigma1(body)
-        case Not(body):
-            _check_sigma1(body)
-        case And(a, b) | Or(a, b) | Implies(a, b) | Iff(a, b):
-            _check_sigma1(a)
-            _check_sigma1(b)
-        case _:
-            pass
+    for g in subformulas(f):
+        match g:
+            case Forall(u, Implies(Atom("<", (Var(u2), _)), _)) if u2 == u:
+                pass
+            case Forall():
+                raise FormulaError("unbounded universal quantifier: input is not purely existential")
 
 
 def purify(sigma: Formula) -> PureSigma:

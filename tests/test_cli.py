@@ -160,6 +160,25 @@ class TestProtocol:
         code, out, err = invoke(*args)
         assert code == 3 and out == "" and "natural number" in err
 
+    def test_deep_nesting_is_exit_3(self, invoke):
+        code, out, err = invoke("decide", "~" * 3000 + "true")
+        assert (code, out, err) == (3, "", "error: formula nested too deeply")
+        assert "Traceback" not in out + err
+
+    @pytest.mark.parametrize("args", [
+        ("decide", "~" * 800 + "true"),
+        ("decide", "exists x. " + "~" * 800 + "E(x, x)"),
+        ("decide", "(exists x. E(x, x)) & exists x. " + "~" * 800 + "E(x, x)"),
+        ("decide", "exists y. (exists x. E(x, x)) & exists x. " + "~" * 800 + "E(x, x)"),
+        ("qe", "~" * 800 + "A[1]"),
+        ("ovee", "--decide", "~" * 800 + "(P -> exists x. E_left(x, x))"),
+        ("tn", "bracket", "--sigma", "exists x. " + "~" * 800 + "x = 0"),
+    ], ids=["decide-negations", "decide-quantified", "decide-two-leaves",
+            "decide-renamed", "qe", "ovee", "tn-bracket"])
+    def test_depth_800_is_answered(self, invoke, args):
+        code, _, err = invoke(*args)
+        assert code in (0, 1) and err == ""
+
     def test_json_format(self, invoke):
         code, out, _ = invoke("qe", "A[0] | A[1]", "--format", "json")
         payload = json.loads(out)

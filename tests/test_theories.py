@@ -9,7 +9,8 @@ import pytest
 from theorybench.boolcomb import GeneratorCombination
 from theorybench.machines import (DIVERGER, OracleContractError, Unknown, Yes,
                                   load_program, load_table, parse_program)
-from theorybench.syntax import free_variables, parse, pretty
+from theorybench.syntax import (contains_sugar, expand_sugar, free_variables,
+                                parse, pretty, rename_symbols)
 from theorybench.theories import (J, build_sch, build_so, consistency_probe,
                                   decide_ovee, decide_sch, finite_set_oracle,
                                   j_axiom, ovee)
@@ -126,6 +127,20 @@ class TestBuildSo:
         text = pretty(theory.axiom(400))
         assert text.startswith("exists x1. exists x2.") and text.count(" & ") > 1000
         assert pretty(parse(text)) == text
+
+    def test_deep_chain_passes(self):
+        # the same chain: every pass keeps its own stack
+        axiom = build_so(load_program(FIXTURES / "even.cm"),
+                         load_program(FIXTURES / "const401.cm")).axiom(400)
+        assert free_variables(axiom) == frozenset()
+        assert contains_sugar(axiom)
+        renamed = rename_symbols(axiom, {"E": "E_left"}, sugar_map={"B": "B_left"})
+        assert pretty(renamed) == pretty(axiom).replace("E(", "E_left(").replace("B[", "B_left[")
+        # expanding axiom(400) itself builds millions of subformulas, so
+        # expand the smallest base axiom whose chain is as deep as the
+        # default recursion limit
+        expanded = expand_sugar(j_axiom(96))
+        assert not contains_sugar(expanded) and free_variables(expanded) == frozenset()
 
 
 class TestDecideSch:
