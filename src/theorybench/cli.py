@@ -308,6 +308,9 @@ def main(argv: list[str] | None = None) -> int:
     except RecursionError:
         print("error: formula nested too deeply", file=sys.stderr)
         return 3
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 3
     print(result.render(args.format))
     return result.code
 

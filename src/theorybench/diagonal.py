@@ -200,7 +200,7 @@ def enumerate_translations(source: Signature, size_bound: int) -> list[Translati
 # The p / f / F recursion
 
 
-@functools.lru_cache(maxsize=4096)
+@functools.lru_cache(maxsize=256)
 def _translated_combination(tau: Translation, sentence: Formula) -> GeneratorCombination:
     # the elimination does not depend on the sign pattern, so the 2^n
     # pattern scans in f can share one computation per stream element

@@ -18,12 +18,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .boolcomb import BOTTOM, TOP, GeneratorCombination
 from .syntax import (
     And, Atom, Bot, Eq, Exists, Forall, FormulaError, Formula, Iff, Implies,
-    Not, Or, Sugar, Top, Var, _has_quantifier, conj, disj, expand_sugar,
+    Not, Or, Sugar, Top, Var, _has_quantifier, conj, expand_sugar, fold,
     free_variables, prenex, subformulas,
 )
 
@@ -62,13 +62,15 @@ class Configuration:
             val = vals.pop()
             if val not in self.sizes and val != self.n:
                 raise ValueError("size value outside realised sizes and n")
-            splits = sum(1 for b in self.eq_blocks if set(b) <= set(e_block))
+            members = set(e_block)
+            splits = sum(1 for b in self.eq_blocks if members.issuperset(b))
             if splits > val:
                 raise ValueError("E-class split into more identity classes than its size")
+        carriers: dict[int, set[tuple[int, ...]]] = {}
+        for b in self.e_blocks:
+            carriers.setdefault(self.size_of[b[0]], set()).add(tuple(b))
         for i in self.sizes:
-            carriers = {tuple(b) for b in self.e_blocks
-                        if self.size_of[b[0]] == i}
-            if len(carriers) > 1:
+            if len(carriers.get(i, ())) > 1:
                 raise ValueError(f"size {i} carried by more than one E-class")
 
     def sort_key(self):
@@ -105,60 +107,160 @@ def _rgs(blocks, nvars) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _partitions(items: tuple[int, ...]):
-    """All set partitions, blocks ordered by first occurrence."""
-    if not items:
-        yield ()
-        return
-    first, rest = items[0], items[1:]
-    for sub in _partitions(rest):
-        yield ((first,),) + sub
-        for k in range(len(sub)):
-            yield sub[:k] + ((first,) + sub[k],) + sub[k + 1:]
+def _rgs_all(k: int) -> list[tuple[int, ...]]:
+    """Every set partition of k positions as a restricted growth string:
+    position i carries its block's label, blocks labelled 0, 1, ... in
+    order of first occurrence."""
+    out: list[tuple[int, ...]] = [()]
+    for _ in range(k):
+        out = [s + (b,) for s in out for b in range(max(s, default=-1) + 2)]
+    return out
 
 
-def _coarsenings(partition):
-    """All partitions coarser than ``partition`` (merging whole blocks)."""
-    idx = tuple(range(len(partition)))
-    for grouping in _partitions(idx):
-        blocks = []
-        for group in grouping:
-            merged = tuple(sorted(itertools.chain.from_iterable(partition[g] for g in group)))
-            blocks.append(merged)
-        # canonical order: by smallest member
-        yield tuple(sorted(blocks, key=lambda b: b[0]))
+def _blocks(rgs: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    blocks: list[list[int]] = [[] for _ in range(max(rgs, default=-1) + 1)]
+    for i, b in enumerate(rgs):
+        blocks[b].append(i)
+    return tuple(map(tuple, blocks))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
+def _config_keys(n: int, k: int) -> tuple[tuple, ...]:
+    """The ``sort_key`` of every base-n configuration of k positions, sorted:
+    (identity RGS, E-RGS, realised-size mask, size map)."""
+    if n < 1:
+        raise ValueError("configuration base must be >= 1")
+    keys = []
+    for eq in _rgs_all(k):
+        # the E-partition merges whole identity blocks; labelling the blocks
+        # in first-occurrence order keeps the merged labels canonical too
+        for grouping in _rgs_all(max(eq, default=-1) + 1):
+            e = tuple(grouping[b] for b in eq)
+            splits = [grouping.count(c) for c in range(max(grouping, default=-1) + 1)]
+            for mask in range(1 << (n - 1)):
+                choices = [i + 1 for i in range(n - 1) if mask >> i & 1] + [n]
+                for assignment in itertools.product(choices, repeat=len(splits)):
+                    if any(a < s for a, s in zip(assignment, splits)):
+                        continue
+                    small = [a for a in assignment if a < n]
+                    if len(small) != len(set(small)):
+                        continue  # one exact size carried by two E-classes
+                    keys.append((eq, e, mask, tuple(assignment[c] for c in e)))
+    keys.sort()
+    return tuple(keys)
+
+
+@lru_cache(maxsize=64)
 def enumerate_configs(n: int, vars: tuple[str, ...]) -> tuple[Configuration, ...]:
     """All base-n configurations of ``vars``, deterministically ordered."""
     if n < 1:
         raise ValueError("configuration base must be >= 1")
     if len(set(vars)) != len(vars):
         raise ValueError("variables must be pairwise distinct")
-    idx = tuple(range(len(vars)))
-    out = []
-    for eq_blocks in _partitions(idx):
-        eq_blocks = tuple(sorted((tuple(sorted(b)) for b in eq_blocks), key=lambda b: b[0]))
-        for e_blocks in _coarsenings(eq_blocks):
-            splits = [sum(1 for b in eq_blocks if set(b) <= set(eb)) for eb in e_blocks]
-            for size_mask in range(1 << (n - 1)):
-                sizes = frozenset(i + 1 for i in range(n - 1) if size_mask >> i & 1)
-                choices = sorted(sizes) + [n]
-                for assignment in itertools.product(choices, repeat=len(e_blocks)):
-                    if any(assignment[k] < splits[k] for k in range(len(e_blocks))):
-                        continue
-                    small = [v for v in assignment if v < n]
-                    if len(small) != len(set(small)):
-                        continue  # one exact size carried by two E-classes
-                    size_of = [0] * len(vars)
-                    for k, eb in enumerate(e_blocks):
-                        for i in eb:
-                            size_of[i] = assignment[k]
-                    out.append(Configuration(n, vars, eq_blocks, e_blocks,
-                                             sizes, tuple(size_of)))
-    out.sort(key=Configuration.sort_key)
-    return tuple(out)
+    return tuple(
+        Configuration(n, vars, _blocks(eq), _blocks(e),
+                      frozenset(i + 1 for i in range(n - 1) if mask >> i & 1), size_of)
+        for eq, e, mask, size_of in _config_keys(n, len(vars)))
+
+
+# ---------------------------------------------------------------------------
+# The bit-parallel kernel
+#
+# A set of base-n configurations of k positions is an int whose bit i stands
+# for the i-th key of ``_config_keys(n, k)``, which is also the i-th entry of
+# ``enumerate_configs(n, vars)`` for any k variables.
+
+
+class _Table(NamedTuple):
+    full: int
+    eq: dict[tuple[int, int], int]  # (i, j), i < j: the set where vi = vj
+    e: dict[tuple[int, int], int]  # (i, j), i < j: the set where E(vi, vj)
+    drop_last: tuple[int, ...]  # index of each key without its last position
+
+
+def _bitset(flags) -> int:
+    """The int whose bit i is ``flags[i]`` (each 0 or 1)."""
+    return int(bytes(48 + f for f in reversed(flags)) or b"0", 2)
+
+
+_BYTE_OF_DIGIT = bytes.maketrans(b"01", b"\0\1")
+
+
+def _members(bits: int, size: int) -> bytes:
+    """Byte i is bit i of ``bits``, for i < size."""
+    return format(bits, f"0{size}b")[::-1].encode().translate(_BYTE_OF_DIGIT)
+
+
+@lru_cache(maxsize=32)
+def _table(n: int, k: int) -> _Table:
+    keys = _config_keys(n, k)
+    pairs = list(itertools.combinations(range(k), 2))
+    drop_last: tuple[int, ...] = ()
+    if k:
+        index = {key: i for i, key in enumerate(_config_keys(n, k - 1))}
+        drop_last = tuple(index[eq[:-1], e[:-1], mask, size_of[:-1]]
+                          for eq, e, mask, size_of in keys)
+    return _Table((1 << len(keys)) - 1,
+                  {(i, j): _bitset([key[0][i] == key[0][j] for key in keys]) for i, j in pairs},
+                  {(i, j): _bitset([key[1][i] == key[1][j] for key in keys]) for i, j in pairs},
+                  drop_last)
+
+
+def _exists_last(bits: int, table: _Table, target: _Table) -> int:
+    """Existential projection of the last position: the image of ``bits``
+    under ``drop_last``, a set in ``target`` (the table one position down)."""
+    hit = bytearray(target.full.bit_length())
+    for t in set(itertools.compress(table.drop_last, _members(bits, len(table.drop_last)))):
+        hit[t] = 1
+    return _bitset(hit)
+
+
+def _filter(matrix: Formula, n: int, vars: tuple[str, ...]) -> int:
+    """The configurations of ``vars`` under which the quantifier-free
+    ``matrix`` holds: every atom is a precomputed set, and the connectives
+    are bitwise operations."""
+    if _has_quantifier(matrix):
+        raise FormulaError("matrix must be quantifier-free")
+    if not free_variables(matrix) <= set(vars):
+        raise FormulaError("matrix has free variables outside the given tuple")
+    if len(set(vars)) != len(vars):
+        raise ValueError("variables must be pairwise distinct")
+    table = _table(n, len(vars))
+    full = table.full
+    pos = {v: i for i, v in enumerate(vars)}
+
+    def atom(a: str, b: str, sets: dict[tuple[int, int], int]) -> int:
+        i, j = sorted((pos[a], pos[b]))
+        return full if i == j else sets[i, j]
+
+    def combine(g: Formula, kids: tuple[int, ...]) -> int:
+        match g:
+            case Not():
+                return full ^ kids[0]
+            case And():
+                return kids[0] & kids[1]
+            case Or():
+                return kids[0] | kids[1]
+            case Implies():
+                return (full ^ kids[0]) | kids[1]
+            case Iff():
+                return full ^ kids[0] ^ kids[1]
+            case Top():
+                return full
+            case Bot():
+                return 0
+            case Eq(Var(a), Var(b)):
+                return atom(a, b, table.eq)
+            case Atom("E", (Var(a), Var(b))):
+                return atom(a, b, table.e)
+        raise FormulaError(f"cannot evaluate atom under a configuration: {g!r}")
+
+    return fold(matrix, combine)
+
+
+def _configs(bits: int, n: int, vars: tuple[str, ...]) -> frozenset[Configuration]:
+    configs = enumerate_configs(n, vars)
+    return frozenset(itertools.compress(configs, _members(bits, len(configs))))
 
 
 # ---------------------------------------------------------------------------
@@ -191,44 +293,11 @@ def config_to_formula(c: Configuration) -> Formula:
     return conj(parts)
 
 
-def _atom_value(c: Configuration, f: Formula) -> bool:
-    match f:
-        case Top():
-            return True
-        case Bot():
-            return False
-        case Eq(Var(a), Var(b)):
-            return a == b or c.same_eq(a, b)
-        case Atom("E", (Var(a), Var(b))):
-            return a == b or c.same_e(a, b)
-    raise FormulaError(f"cannot evaluate atom under a configuration: {f!r}")
-
-
-def _eval_qf(c: Configuration, f: Formula) -> bool:
-    match f:
-        case Not(body):
-            return not _eval_qf(c, body)
-        case And(a, b):
-            return _eval_qf(c, a) and _eval_qf(c, b)
-        case Or(a, b):
-            return _eval_qf(c, a) or _eval_qf(c, b)
-        case Implies(a, b):
-            return not _eval_qf(c, a) or _eval_qf(c, b)
-        case Iff(a, b):
-            return _eval_qf(c, a) == _eval_qf(c, b)
-        case _:
-            return _atom_value(c, f)
-
-
 def qf_to_configs(matrix: Formula, n: int, vars: tuple[str, ...]) -> frozenset[Configuration]:
     """The unique configuration set whose disjunction is equivalent to the
     quantifier-free ``matrix``: each configuration decides every atom, so a
     configuration is kept iff the matrix holds under its atom valuation."""
-    if _has_quantifier(matrix):
-        raise FormulaError("matrix must be quantifier-free")
-    if not free_variables(matrix) <= set(vars):
-        raise FormulaError("matrix has free variables outside the given tuple")
-    return frozenset(c for c in enumerate_configs(n, vars) if _eval_qf(c, matrix))
+    return _configs(_filter(matrix, n, vars), n, vars)
 
 
 def project_config(c: Configuration, keep: tuple[str, ...]) -> Configuration:
@@ -255,25 +324,6 @@ def project_config(c: Configuration, keep: tuple[str, ...]) -> Configuration:
 
 # ---------------------------------------------------------------------------
 # Quantifier elimination
-
-
-def _eliminate_prefix(configs: frozenset[Configuration], prefix, n: int,
-                      outer_vars: tuple[str, ...]) -> frozenset[Configuration]:
-    """Fold the quantifier prefix from the inside out over a configuration
-    set; universals go through double complementation."""
-    var_order = list(outer_vars) + [v for _, v in prefix]
-    for depth in range(len(prefix), 0, -1):
-        kind, _ = prefix[depth - 1]
-        current = tuple(var_order[:len(outer_vars) + depth])
-        target = tuple(var_order[:len(outer_vars) + depth - 1])
-        if kind == "exists":
-            configs = frozenset(project_config(c, target) for c in configs)
-        else:
-            universe = set(enumerate_configs(n, current))
-            complement = frozenset(universe - configs)
-            projected = frozenset(project_config(c, target) for c in complement)
-            configs = frozenset(set(enumerate_configs(n, target)) - projected)
-    return configs
 
 
 def _empty_config_to_minterm(c: Configuration) -> GeneratorCombination:
@@ -350,16 +400,22 @@ def consistent_with_J(g: GeneratorCombination) -> bool:
 def qe_open(f: Formula) -> tuple[int, frozenset[Configuration]]:
     """Quantifier elimination for a formula with free variables: returns
     ``(n, configs)`` with the formula equivalent to the disjunction of the
-    configurations over its free variables."""
+    configurations over its free variables.  The prefix is folded from the
+    inside out; a universal goes through complement, projection and
+    complement."""
     f = expand_sugar(f)
-    fv_order = _first_occurrence_order(f)
+    fv_order = tuple(_first_occurrence_order(f))
     pf = prenex(f)
-    m = len(pf.prefix)
-    n = max(1, m + len(fv_order))
-    vars_all = tuple(fv_order) + tuple(v for _, v in pf.prefix)
-    configs = qf_to_configs(pf.matrix, n, vars_all)
-    configs = _eliminate_prefix(configs, pf.prefix, n, tuple(fv_order))
-    return n, configs
+    n = max(1, len(pf.prefix) + len(fv_order))
+    vars_all = fv_order + tuple(v for _, v in pf.prefix)
+    bits = _filter(pf.matrix, n, vars_all)
+    for k, (kind, _) in zip(range(len(vars_all), 0, -1), reversed(pf.prefix)):
+        table, target = _table(n, k), _table(n, k - 1)
+        if kind == "exists":
+            bits = _exists_last(bits, table, target)
+        else:
+            bits = target.full ^ _exists_last(table.full ^ bits, table, target)
+    return n, _configs(bits, n, fv_order)
 
 
 def _first_occurrence_order(f: Formula) -> list[str]:
@@ -384,13 +440,6 @@ def _first_occurrence_order(f: Formula) -> list[str]:
                 _walk_term(a)
                 _walk_term(b)
     return order
-
-
-def configs_to_extended_formula(configs, n: int, vars: tuple[str, ...]) -> Formula:
-    """Quantifier-free form in the signature extended by the generator and
-    size-bound sugar atoms, as a disjunction of configuration formulas."""
-    ordered = sorted(configs, key=Configuration.sort_key)
-    return disj([config_to_formula(c) for c in ordered])
 
 
 # ---------------------------------------------------------------------------

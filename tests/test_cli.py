@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from theorybench import cli
 from theorybench.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -164,6 +165,14 @@ class TestProtocol:
         code, out, err = invoke("decide", "~" * 3000 + "true")
         assert (code, out, err) == (3, "", "error: formula nested too deeply")
         assert "Traceback" not in out + err
+
+    def test_out_of_memory_is_exit_3(self, invoke, monkeypatch):
+        def exhaust(args):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "_cmd_decide", exhaust)
+        code, out, err = invoke("decide", "A[0]")
+        assert (code, out, err) == (3, "", "error: out of memory")
 
     @pytest.mark.parametrize("args", [
         ("decide", "~" * 800 + "true"),
